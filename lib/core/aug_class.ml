@@ -31,8 +31,7 @@ let present_buckets params (gp : Layered.parametrized) ~scale =
   Arena.Stamp.reset b_set (cap + 1);
   G.iter_edges
     (fun e ->
-      let u, v = E.endpoints e in
-      if gp.Layered.side.(u) <> gp.Layered.side.(v) then
+      if gp.Layered.side.(e.E.u) <> gp.Layered.side.(e.E.v) then
         if M.mem gp.Layered.matching e then begin
           let bkt = Tau.bucket_up ~granule (E.weight e) in
           if bkt <= cap then Arena.Stamp.mark a_set bkt
@@ -51,72 +50,123 @@ let present_buckets params (gp : Layered.parametrized) ~scale =
   in
   (collect a_set, collect b_set)
 
+(* Walk scratch, per domain.  Under a matching each vertex has at most
+   one M-edge among its incident edges, so its unmatched edges are its
+   CSR slice minus (at most) one slot: [mpos.(v)] is that slot ([-1]
+   when there is none), found on the walk's first visit to [v] and
+   remembered for the rest of the batch ([known] marks the visited).
+   A step is then one draw on [degree] minus the matched slot and one
+   indexed read past it — the count, draw and edge of counting the
+   unmatched neighbours in [G.iter_neighbors] order and taking the
+   drawn one, without touching the rest of the slice. *)
+type walk_scratch = {
+  known : Arena.Stamp.t;
+  mutable mpos : int array;
+  a_bkts : Arena.Ints.t;  (* the current walk's bucket sequences *)
+  b_bkts : Arena.Ints.t;
+}
+
+let walk_slot =
+  Arena.slot (fun () ->
+      {
+        known = Arena.Stamp.create ();
+        mpos = [||];
+        a_bkts = Arena.Ints.create ();
+        b_bkts = Arena.Ints.create ();
+      })
+
 (* Random alternating walks give tau pairs biased towards shapes that
    are actually realisable in the data — a practical stand-in for the
    paper's exhaustive enumeration, which only ever matters on pairs
-   whose layered graphs are non-empty. *)
-let walk_pairs params rng (gp : Layered.parametrized) ~scale ~count =
+   whose layered graphs are non-empty.  Captured pairs are returned
+   newest first, not deduplicated. *)
+let walks params rng (gp : Layered.parametrized) ~scale ~count =
   let tp = Params.tau_params params in
   let g = gp.Layered.graph and m = gp.Layered.matching in
   let n = G.n g in
   if n = 0 then []
   else begin
     let granule = params.Params.granularity *. scale in
+    let ws = Arena.get walk_slot in
+    Arena.Stamp.reset ws.known n;
+    if Array.length ws.mpos < n then ws.mpos <- Array.make n 0;
+    let matched_slot v =
+      if Arena.Stamp.add ws.known v then begin
+        let p = ref (-1) in
+        (match M.edge_at m v with
+        | Some me ->
+            for i = 0 to G.degree g v - 1 do
+              if E.same_endpoints (G.incident_edge g v i) me then p := i
+            done
+        | None -> ());
+        ws.mpos.(v) <- !p
+      end;
+      ws.mpos.(v)
+    in
+    (* Bucket of the matching edge at [x] (0 at a free end). *)
+    let push_up x =
+      match M.edge_at m x with
+      | Some e ->
+          Arena.Ints.push ws.a_bkts (Tau.bucket_up ~granule (E.weight e))
+      | None -> Arena.Ints.push ws.a_bkts 0
+    in
+    let max_steps = params.Params.max_layers - 1 in
+    let cap = Tau.max_granules tp in
     let pairs = ref [] in
     for _ = 1 to count do
+      Arena.Ints.clear ws.a_bkts;
+      Arena.Ints.clear ws.b_bkts;
+      (* First matched bucket: the anchor's matching edge, or a free end
+         (where the walk then starts). *)
       let start = Wm_graph.Prng.int rng n in
-      let a_buckets = ref [] and b_buckets = ref [] in
-      (* First matched bucket: the anchor's matching edge, or a free end. *)
-      let cur = ref start in
-      (match M.edge_at m start with
-      | Some e ->
-          a_buckets := [ Tau.bucket_up ~granule (E.weight e) ];
-          cur := E.other e start
-      | None -> a_buckets := [ 0 ]);
-      let steps = 1 + Wm_graph.Prng.int rng (params.Params.max_layers - 1) in
-      (try
-         for _ = 1 to steps do
-           (* Count-then-pick over the CSR slice: one draw on the same
-              count the old neighbour-list filter produced, so the Prng
-              stream (hence every downstream decision) is unchanged —
-              but no per-neighbour list cells. *)
-           let unmatched_count =
-             G.fold_neighbors g !cur
-               (fun acc _ e -> if M.mem m e then acc else acc + 1)
-               0
-           in
-           if unmatched_count = 0 then raise Exit;
-           let idx = Wm_graph.Prng.int rng unmatched_count in
-           let picked = ref None in
-           let seen = ref 0 in
-           G.iter_neighbors g !cur (fun _ e ->
-               if not (M.mem m e) then begin
-                 if !seen = idx then picked := Some e;
-                 incr seen
-               end);
-           let o = match !picked with Some e -> e | None -> assert false in
-           b_buckets := Tau.bucket_down ~granule (E.weight o) :: !b_buckets;
-           let x = E.other o !cur in
-           match M.edge_at m x with
-           | Some e' ->
-               a_buckets := Tau.bucket_up ~granule (E.weight e') :: !a_buckets;
-               cur := E.other e' x
-           | None ->
-               a_buckets := 0 :: !a_buckets;
-               raise Exit
-         done
-       with Exit -> ());
-      if List.length !b_buckets >= 1 then begin
-        match
-          Tau.capture_path tp ~a_buckets:(List.rev !a_buckets)
-            ~b_buckets:(List.rev !b_buckets)
-        with
-        | Some pr -> pairs := pr :: !pairs
-        | None -> ()
+      push_up start;
+      let cur =
+        ref
+          (match M.edge_at m start with
+          | Some e -> E.other e start
+          | None -> start)
+      in
+      let steps = 1 + Wm_graph.Prng.int rng max_steps in
+      let step = ref 1 in
+      (* (D) and (E) on the b side, tracked as the walk goes: most
+         walks fail them (at small scales every unmatched edge buckets
+         far above the cap), and those need no pair built at all —
+         though they still walk on, drawing exactly as before. *)
+      let b_sum = ref 0 in
+      let b_ok = ref true in
+      while !step <= steps do
+        let p = matched_slot !cur in
+        let unmatched = G.degree g !cur - if p >= 0 then 1 else 0 in
+        if unmatched = 0 then step := max_int
+        else begin
+          let idx = Wm_graph.Prng.int rng unmatched in
+          let slot = if p >= 0 && idx >= p then idx + 1 else idx in
+          let o = G.incident_edge g !cur slot in
+          let bkt = Tau.bucket_down ~granule (E.weight o) in
+          b_sum := !b_sum + bkt;
+          b_ok := !b_ok && bkt >= 2 && !b_sum <= cap;
+          Arena.Ints.push ws.b_bkts bkt;
+          let x = E.other o !cur in
+          push_up x;
+          match M.edge_at m x with
+          | Some e' ->
+              cur := E.other e' x;
+              incr step
+          | None -> step := max_int
+        end
+      done;
+      let lb = Arena.Ints.length ws.b_bkts in
+      if lb >= 1 && !b_ok then begin
+        let sub v = Array.sub (Arena.Ints.data v) 0 (Arena.Ints.length v) in
+        let pr = { Tau.a = sub ws.a_bkts; b = sub ws.b_bkts } in
+        if Tau.is_good tp pr then pairs := pr :: !pairs
       end
     done;
-    Tau.dedup !pairs
+    !pairs
   end
+
+let walk_pairs params rng gp ~scale ~count =
+  Tau.dedup (walks params rng gp ~scale ~count)
 
 let one_augmentations g m =
   (* The k = 1 augmentation class solved exactly: single-edge
@@ -155,25 +205,22 @@ let candidate_pairs params rng gp ~scale =
        list the old [Tau.dedup] of the concatenation produced, but the
        homogeneous family streams through a scratch pair and only its
        {e new} members are ever materialised. *)
-    let seen = Hashtbl.create 256 in
+    let seen = Tau.Seen.create 256 in
     let out = ref [] in
     let add_scratch pr =
-      if not (Hashtbl.mem seen pr) then begin
+      if not (Tau.Seen.mem seen pr) then begin
         let fresh = { Tau.a = Array.copy pr.Tau.a; b = Array.copy pr.Tau.b } in
-        Hashtbl.add seen fresh ();
+        ignore (Tau.Seen.add seen fresh);
         out := fresh :: !out
       end
     in
-    let add_own pr =
-      if not (Hashtbl.mem seen pr) then begin
-        Hashtbl.add seen pr ();
-        out := pr :: !out
-      end
-    in
+    let add_own pr = if Tau.Seen.add seen pr then out := pr :: !out in
     Tau.iter_homogeneous tp ~a_values ~b_values add_scratch;
     if params.Params.tau_samples > 0 then begin
+      (* The walks' own dedup would be redundant under this first-wins
+         pass, so they come straight from the walker. *)
       List.iter add_own
-        (walk_pairs params rng gp ~scale ~count:params.Params.tau_samples);
+        (walks params rng gp ~scale ~count:params.Params.tau_samples);
       List.iter add_own
         (Tau.sample tp rng ~a_values ~b_values
            ~count:(params.Params.tau_samples / 4))
@@ -241,46 +288,43 @@ let eval_pair ~cache params tp (gp : Layered.parametrized) m ~scale pair =
       pe_paths = List.length paths;
     }
 
-(* Same rendering as [Tau.pp], by hand: the label is built once per
-   pair per round and [Format.asprintf]'s machinery was a measurable
-   slice of the per-pair allocation budget. *)
-let pair_label pair =
-  let buf = Buffer.create 48 in
-  let arr prefix a =
-    Buffer.add_string buf prefix;
-    Array.iteri
-      (fun i x ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (string_of_int x))
-      a;
-    Buffer.add_char buf ']'
-  in
-  arr "a=[" pair.Tau.a;
-  arr " b=[" pair.Tau.b;
-  Buffer.contents buf
-
 let used_slot = Arena.slot (fun () -> Arena.Stamp.create ())
 
 let run ?(span_path = "core.aug_class") params rng g m ~scale =
   let tp = Params.tau_params params in
-  let gp = Layered.parametrize rng g m in
-  let pairs = candidate_pairs params rng gp ~scale in
-  let cache = Layered.prepare tp gp ~scale in
+  (* Stage spans: a fixed set of root paths under [span_path], so the
+     timer key set is the same for every input and every jobs setting. *)
+  let stage name f =
+    Wm_obs.Obs.with_span_root Wm_obs.Obs.default (span_path ^ "/" ^ name) f
+  in
+  let gp = stage "parametrize" (fun () -> Layered.parametrize rng g m) in
+  let pairs =
+    stage "enumerate" (fun () -> candidate_pairs params rng gp ~scale)
+  in
+  let cache = stage "prepare" (fun () -> Layered.prepare tp gp ~scale) in
   (* Phase 1 (parallel): evaluate every pair's layered graph.  The pool
      preserves input order, and [eval_pair] draws no randomness, so the
      result is independent of the jobs setting.  Inside Main_alg's own
      per-scale fan-out this degrades to a sequential map (nested pool
      calls fall back), and pair-level parallelism kicks in when a class
-     is run on its own.  Each pair's evaluation is timed under an
-     explicit root path ([<span_path>/pair=<tau>]) so the attribution is
-     identical no matter which domain evaluates it. *)
+     is run on its own.  Per-pair detail goes to the trace, never to
+     the timer registry: one trace instant per pair that reached the
+     black box. *)
   let evals =
-    Wm_par.Pool.map (Wm_par.Pool.default ())
-      (fun pair ->
-        Wm_obs.Obs.with_span_root Wm_obs.Obs.default
-          (span_path ^ "/pair=" ^ pair_label pair)
-          (fun () -> eval_pair ~cache params tp gp m ~scale pair))
-      pairs
+    stage "eval" (fun () ->
+        Wm_par.Pool.map (Wm_par.Pool.default ())
+          (fun pair ->
+            let e = eval_pair ~cache params tp gp m ~scale pair in
+            if e.pe_black_box && Wm_obs.Trace.enabled () then
+              Wm_obs.Trace.instant "core.aug_class.pair"
+                ~args:
+                  [
+                    ("pair", Format.asprintf "%a" Tau.pp pair);
+                    ("edges", string_of_int e.pe_layered_edges);
+                    ("paths", string_of_int e.pe_paths);
+                  ];
+            e)
+          pairs)
   in
   let stats =
     List.fold_left
@@ -309,6 +353,7 @@ let run ?(span_path = "core.aug_class") params rng g m ~scale =
      set and the best one wins (Algorithm 4 line 13, verbatim).  Either
      way ONE epoch-stamped arena serves every pair: persisting is
      keeping the epoch, emptying is bumping it — no per-pair tables. *)
+  stage "select" @@ fun () ->
   let used = Arena.get used_slot in
   Arena.Stamp.reset used (G.n g);
   let combined = ref ([], 0) in

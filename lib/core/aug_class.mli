@@ -42,7 +42,9 @@ val walk_pairs :
 (** Tau pairs derived from random alternating walks: sampling the pair
     space proportionally to realisability (only pairs whose layered
     graphs are non-empty can ever contribute, and those are exactly the
-    bucket sequences of actual walks). *)
+    bucket sequences of actual walks).  Deduplicated, first capture
+    wins, newest capture first.  A walk step costs O(1) after the
+    walk's first visit to a vertex. *)
 
 val candidate_pairs :
   Params.t ->
@@ -65,8 +67,11 @@ val run :
   Aug.t list * stats
 (** [run params rng g m ~scale] returns the winning pair's
     vertex-disjoint augmentations (possibly empty), each strictly
-    gainful against [m].  Each tau pair's layered-graph evaluation is
-    recorded under the root span path [<span_path>/pair=<tau>]
-    (default [span_path] is ["core.aug_class"]); [Main_alg] passes its
-    per-scale path so attribution nests under the round regardless of
-    which pool domain evaluates the pair. *)
+    gainful against [m].  Its stages are timed under the fixed root
+    span paths [<span_path>/parametrize], [/enumerate], [/prepare],
+    [/eval] and [/select] (default [span_path] is ["core.aug_class"]);
+    [Main_alg] passes ["core.main_alg.round"], so every scale of every
+    round accumulates into the same keys whichever pool domain runs it,
+    and the timer key set does not grow with the data.  Per-pair detail
+    is a trace event ([core.aug_class.pair], one per pair that reached
+    the black box), emitted only while [Wm_obs.Trace] is enabled. *)

@@ -63,7 +63,12 @@ let scratch_slot =
    of an [Aug_class.run] — without it each pair re-scans all [m] base
    edges through tuple-returning accessors, which was the single
    largest allocator on the round hot path.  Immutable after
-   [prepare], so it is shared read-only across pool workers. *)
+   [prepare], so it is shared read-only across pool workers.
+
+   Three indexes over the same edges serve the trivial-pair pre-check
+   of [build_opt].  Buckets above [cap] (the largest a good pair can
+   name) share one overflow slot [cap + 1], whose members are compared
+   by their exact bucket, so the indexes answer any pair exactly. *)
 type cache = {
   xm_u : int array;
   xm_v : int array;
@@ -73,23 +78,30 @@ type cache = {
   yc_l : int array;
   yc_w : int array;
   yc_b : int array;
+  cap : int;
+  vb : int array;
+      (* per base vertex: the up-bucket of its crossing matched edge;
+         -1 when M-free, -2 when matched by a non-crossing edge *)
+  xm_count : int array;  (* crossing matched edges per up-bucket slot *)
+  yg_off : int array;
+      (* Y edges grouped by down-bucket slot: slot [s] is
+         [yg_off.(s) .. yg_off.(s+1) - 1] of [yg_r]/[yg_l]/[yg_b] *)
+  yg_r : int array;
+  yg_l : int array;
+  yg_b : int array;
 }
 
 let prepare params (gp : parametrized) ~scale =
   let granule = params.Tau.granularity *. scale in
+  let n = G.n gp.graph in
   let nxm = ref 0 and nyc = ref 0 in
-  M.iter
-    (fun e ->
-      let u, v = E.endpoints e in
-      if gp.side.(u) <> gp.side.(v) then incr nxm)
-    gp.matching;
+  let crossing e = gp.side.(e.E.u) <> gp.side.(e.E.v) in
+  M.iter (fun e -> if crossing e then incr nxm) gp.matching;
   G.iter_edges
-    (fun e ->
-      if not (M.mem gp.matching e) then begin
-        let u, v = E.endpoints e in
-        if gp.side.(u) <> gp.side.(v) then incr nyc
-      end)
+    (fun e -> if crossing e && not (M.mem gp.matching e) then incr nyc)
     gp.graph;
+  let cap = Tau.max_granules params in
+  let slot bkt = Stdlib.min bkt (cap + 1) in
   let c =
     {
       xm_u = Array.make !nxm 0;
@@ -100,6 +112,14 @@ let prepare params (gp : parametrized) ~scale =
       yc_l = Array.make !nyc 0;
       yc_w = Array.make !nyc 0;
       yc_b = Array.make !nyc 0;
+      cap;
+      vb =
+        Array.init n (fun v -> if M.is_matched gp.matching v then -2 else -1);
+      xm_count = Array.make (cap + 2) 0;
+      yg_off = Array.make (cap + 3) 0;
+      yg_r = Array.make !nyc 0;
+      yg_l = Array.make !nyc 0;
+      yg_b = Array.make !nyc 0;
     }
   in
   let i = ref 0 in
@@ -107,10 +127,15 @@ let prepare params (gp : parametrized) ~scale =
     (fun e ->
       let u, v = E.endpoints e in
       if gp.side.(u) <> gp.side.(v) then begin
+        let bkt = Tau.bucket_up ~granule (E.weight e) in
         c.xm_u.(!i) <- u;
         c.xm_v.(!i) <- v;
         c.xm_w.(!i) <- E.weight e;
-        c.xm_b.(!i) <- Tau.bucket_up ~granule (E.weight e);
+        c.xm_b.(!i) <- bkt;
+        c.vb.(u) <- bkt;
+        c.vb.(v) <- bkt;
+        let s = slot bkt in
+        c.xm_count.(s) <- c.xm_count.(s) + 1;
         incr i
       end)
     gp.matching;
@@ -129,7 +154,76 @@ let prepare params (gp : parametrized) ~scale =
         end
       end)
     gp.graph;
+  (* Counting sort of the Y edges into their bucket slots. *)
+  Array.iter
+    (fun bkt ->
+      let s = slot bkt in
+      c.yg_off.(s + 1) <- c.yg_off.(s + 1) + 1)
+    c.yc_b;
+  for s = 1 to cap + 2 do
+    c.yg_off.(s) <- c.yg_off.(s) + c.yg_off.(s - 1)
+  done;
+  let cursor = Array.sub c.yg_off 0 (cap + 2) in
+  Array.iteri
+    (fun y bkt ->
+      let s = slot bkt in
+      let at = cursor.(s) in
+      c.yg_r.(at) <- c.yc_r.(y);
+      c.yg_l.(at) <- c.yc_l.(y);
+      c.yg_b.(at) <- bkt;
+      cursor.(s) <- at + 1)
+    c.yc_b;
   c
+
+(* X edges a pair's build would emit: the crossing matched edges whose
+   up-bucket is one of the intermediate thresholds, once per layer. *)
+let x_edges c pair =
+  let total = ref 0 in
+  for layer = 2 to Array.length pair.Tau.b do
+    let want = pair.Tau.a.(layer - 1) in
+    if want >= 0 && want <= c.cap then
+      total := !total + c.xm_count.(want)
+    else if want > c.cap then
+      Array.iter (fun bkt -> if bkt = want then incr total) c.xm_b
+  done;
+  !total
+
+(* Whether a base vertex survives the keep filter of a layer with
+   threshold [want]: an endpoint of a crossing matched edge of that
+   bucket, or — when [free_layer], i.e. in the first or last layer — an
+   M-free vertex facing a zero threshold.  (The build also checks the
+   vertex's side for the free case; Y edges only ever ask about
+   R-vertices in layer 1 and L-vertices in the last layer, where that
+   check passes.) *)
+let kept c ~free_layer ~want v =
+  let b = c.vb.(v) in
+  (b >= 0 && b = want) || (free_layer && b = -1 && want = 0)
+
+(* Exactly "some Y edge survives [fill_scratch]'s filter", without
+   filling anything: Y edges of gap [t] come only from the bucket
+   group of [b.(t-1)]. *)
+let has_y_edge c pair =
+  let k = Array.length pair.Tau.b in
+  let found = ref false in
+  let t = ref 1 in
+  while (not !found) && !t <= k do
+    let bt = pair.Tau.b.(!t - 1) in
+    if bt >= 0 then begin
+      let want_r = pair.Tau.a.(!t - 1) and want_l = pair.Tau.a.(!t) in
+      let s = Stdlib.min bt (c.cap + 1) in
+      let stop = c.yg_off.(s + 1) in
+      let i = ref c.yg_off.(s) in
+      while (not !found) && !i < stop do
+        if c.yg_b.(!i) = bt
+           && kept c ~free_layer:(!t = 1) ~want:want_r c.yg_r.(!i)
+           && kept c ~free_layer:(!t = k) ~want:want_l c.yg_l.(!i)
+        then found := true;
+        incr i
+      done
+    end;
+    incr t
+  done;
+  !found
 
 (* Fill the per-domain scratch with one pair's layered edges (X edges
    in order, then reversed Y edges); shared by [build] and
@@ -245,15 +339,24 @@ let build ?cache params gp pair ~scale =
 type built = Graph of t | Trivial of int
 
 let build_opt ?cache params gp pair ~scale =
-  let s, layer_count, x_len, m_edges =
-    fill_scratch ?cache params gp pair ~scale
-  in
-  count_build m_edges;
-  (* Every X edge is in [init], so "no Y edge survived" is exactly the
-     "nothing to find" early exit — skip the O(layer_count * n) graph
-     and matching materialisation entirely. *)
-  if m_edges = x_len then Trivial x_len
-  else Graph (construct gp pair ~scale s ~layer_count ~x_len)
+  let c = match cache with Some c -> c | None -> prepare params gp ~scale in
+  (* Every X edge is in [init], so "no Y edge survives" is exactly the
+     "nothing to find" early exit.  The cache's indexes decide it in
+     O(k + Y edges in the pair's b-buckets) with no scratch fill, and
+     the X-edge count is a sum of per-bucket counts — most enumerated
+     pairs stop here. *)
+  if not (has_y_edge c pair) then begin
+    let x_len = x_edges c pair in
+    count_build x_len;
+    Trivial x_len
+  end
+  else begin
+    let s, layer_count, x_len, m_edges =
+      fill_scratch ~cache:c params gp pair ~scale
+    in
+    count_build m_edges;
+    Graph (construct gp pair ~scale s ~layer_count ~x_len)
+  end
 
 let left t x = t.side.(base_vertex ~base_n:t.base_n x)
 

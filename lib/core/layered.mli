@@ -60,7 +60,10 @@ val layer_of : base_n:int -> int -> int
 
 type cache
 (** The pair-invariant half of a build — the bipartition-crossing
-    matched and unmatched edges with their buckets at one granule.
+    matched and unmatched edges with their buckets at one granule —
+    plus the indexes that let {!build_opt} reject a trivial pair
+    without building it: each vertex's crossing-matched up-bucket,
+    per-bucket X-edge counts, and the Y edges grouped by down-bucket.
     Immutable; share one across every pair of a (parametrization,
     scale), from any number of domains. *)
 
@@ -84,9 +87,10 @@ val build_opt :
 (** As {!build}, but a pair whose layered graph cannot contain an
     augmenting path returns [Trivial] without materialising the
     O([layer_count * n]) graph and initial matching — the common case
-    for enumerated pairs, and the hot-path reason per-pair evaluation
-    is allocation-free.  Build counters are updated exactly as
-    {!build} would. *)
+    for enumerated pairs.  That verdict comes from the cache's indexes
+    in O(k + Y edges in the pair's b-buckets), with no scratch fill and
+    no allocation; only pairs that keep a Y edge are built.  Build
+    counters are updated exactly as {!build} would. *)
 
 val left : t -> int -> bool
 (** Bipartition of the layered graph: a layered copy of an L-vertex is

@@ -37,8 +37,10 @@ let scales_for params g =
     List.filter (fun w -> w <= cap) all
   end
 
+let span_path = "core.main_alg.round"
+
 let improve_once params rng g m =
-  Obs.span_open Obs.default "core.main_alg.round";
+  Obs.span_open Obs.default span_path;
   Obs.incr c_rounds;
   let gc_before = Wm_obs.Gcstat.snapshot () in
   let scales = scales_for params g in
@@ -54,21 +56,22 @@ let improve_once params rng g m =
   let tasks =
     List.map (fun scale -> (scale, Wm_graph.Prng.split rng)) scales
   in
-  (* Spans inside the fan-out use explicit root paths: a pool worker's
-     ambient span stack is empty, so relying on nesting would attribute
-     the same work differently at jobs=1 (under the round span) and
-     jobs>1 (top-level).  Root paths make the timer table identical. *)
+  (* Stage spans inside the fan-out use explicit root paths under
+     [span_path]: a pool worker's ambient span stack is empty, so
+     relying on nesting would attribute the same work differently at
+     jobs=1 (under the round span) and jobs>1 (top-level).  Root paths
+     make the timer table identical, and one fixed path per stage —
+     summed over scales — keeps its key set independent of the data. *)
   let per_scale =
     Wm_par.Pool.map (Wm_par.Pool.default ())
       (fun (scale, class_rng) ->
-        let span_path =
-          Printf.sprintf "core.main_alg.round/scale=%g" scale
-        in
-        Obs.with_span_root Obs.default span_path (fun () ->
-            (scale, Aug_class.run params class_rng g m ~scale ~span_path)))
+        (scale, Aug_class.run params class_rng g m ~scale ~span_path))
       tasks
   in
-  let one_augs = Aug_class.one_augmentations g m in
+  let one_augs =
+    Obs.with_span_root Obs.default (span_path ^ "/one_aug") (fun () ->
+        Aug_class.one_augmentations g m)
+  in
   (* Greedy cross-class selection, heaviest scale first (lines 5-8). *)
   let used = Wm_graph.Arena.get used_slot in
   Wm_graph.Arena.Stamp.reset used (G.n g);

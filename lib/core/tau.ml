@@ -43,17 +43,50 @@ let bucket_down ~granule w =
   if w <= 0 then 0
   else int_of_float (Float.floor ((float_of_int w /. granule) +. tol))
 
+(* Seen-sets over pairs: an int-array-specialised hash and equality
+   instead of the polymorphic ones, which walk the record generically
+   (or, for list keys, need the arrays converted first). *)
+module Seen = struct
+  module Tbl = Hashtbl.Make (struct
+    type t = pair
+
+    let hash_into h arr =
+      let h = ref ((h * 31) + Array.length arr) in
+      for i = 0 to Array.length arr - 1 do
+        h := (!h * 31) + Array.unsafe_get arr i
+      done;
+      !h
+
+    let hash pr = hash_into (hash_into 0 pr.a) pr.b land max_int
+
+    let same x y =
+      let len = Array.length x in
+      len = Array.length y
+      &&
+      let rec go i =
+        i = len || (Array.unsafe_get x i = Array.unsafe_get y i && go (i + 1))
+      in
+      go 0
+
+    let equal p q = same p.a q.a && same p.b q.b
+  end)
+
+  type t = unit Tbl.t
+
+  let create n = Tbl.create n
+  let mem = Tbl.mem
+
+  let add t pr =
+    if Tbl.mem t pr then false
+    else begin
+      Tbl.add t pr ();
+      true
+    end
+end
+
 let dedup pairs =
-  let tbl = Hashtbl.create (List.length pairs) in
-  List.filter
-    (fun pr ->
-      let key = (Array.to_list pr.a, Array.to_list pr.b) in
-      if Hashtbl.mem tbl key then false
-      else begin
-        Hashtbl.add tbl key ();
-        true
-      end)
-    pairs
+  let seen = Seen.create (List.length pairs) in
+  List.filter (Seen.add seen) pairs
 
 let enumerate p ~max_pairs =
   let budget = max_granules p in
@@ -116,6 +149,7 @@ let enumerate_k1 p ~a_values ~b_values =
 let iter_homogeneous p ~a_values ~b_values f =
   let avs = List.sort_uniq Int.compare a_values in
   let bs = List.sort_uniq Int.compare b_values in
+  let cap = max_granules p in
   for k = 1 to p.max_layers - 1 do
     (* One scratch pair per length [k]; its contents are overwritten in
        place for every (av, bv, ends) combination, so the per-candidate
@@ -124,32 +158,43 @@ let iter_homogeneous p ~a_values ~b_values f =
     let pr = { a; b = Array.make k 0 } in
     List.iter
       (fun av ->
-        for i = 1 to k - 1 do
-          a.(i) <- av
-        done;
-        List.iter
-          (fun bv ->
-            Array.fill pr.b 0 k bv;
-            let try_ends first last =
-              a.(0) <- first;
-              a.(k) <- last;
-              if is_good p pr then f pr
-            in
-            try_ends av av;
-            try_ends 0 av;
-            try_ends av 0;
-            try_ends 0 0)
-          bs)
+        (* (D): interior thresholds need two granules. *)
+        if k = 1 || av >= 2 then begin
+          for i = 1 to k - 1 do
+            a.(i) <- av
+          done;
+          List.iter
+            (fun bv ->
+              (* (D), (E), and (F) at its loosest end choice (both ends
+                 0): a (bv, av) failing these has no good end choice,
+                 so skipping it emits exactly the same pairs. *)
+              if bv >= 2
+                 && k * bv <= cap
+                 && (k * bv) - ((k - 1) * av) >= 1
+              then begin
+                Array.fill pr.b 0 k bv;
+                let try_ends first last =
+                  a.(0) <- first;
+                  a.(k) <- last;
+                  if is_good p pr then f pr
+                in
+                try_ends av av;
+                try_ends 0 av;
+                try_ends av 0;
+                try_ends 0 0
+              end)
+            bs
+        end)
       avs
   done
 
 let homogeneous p ~a_values ~b_values =
-  let tbl = Hashtbl.create 64 in
+  let seen = Seen.create 64 in
   let out = ref [] in
   iter_homogeneous p ~a_values ~b_values (fun pr ->
-      if not (Hashtbl.mem tbl pr) then begin
+      if not (Seen.mem seen pr) then begin
         let fresh = { a = Array.copy pr.a; b = Array.copy pr.b } in
-        Hashtbl.add tbl fresh ();
+        ignore (Seen.add seen fresh);
         out := fresh :: !out
       end);
   List.rev !out

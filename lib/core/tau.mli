@@ -94,6 +94,22 @@ val sample :
     and deduplicated (the result may be shorter than [count]). *)
 
 val dedup : pair list -> pair list
+(** First occurrence wins; order otherwise preserved. *)
+
+module Seen : sig
+  (** A set of pairs keyed by contents, with an int-array-specialised
+      hash and equality. *)
+
+  type t
+
+  val create : int -> t
+
+  val mem : t -> pair -> bool
+
+  val add : t -> pair -> bool
+  (** [add t pr] records [pr] — retained as is, so it must not be
+      mutated afterwards — and returns whether it was new. *)
+end
 
 val capture_path : params -> a_buckets:int list -> b_buckets:int list -> pair option
 (** Lemma 4.12 (path case): the pair whose layered graph contains a path

@@ -32,8 +32,7 @@ let weight_at m v =
   match m.mates.(v) with Some e -> Edge.weight e | None -> 0
 
 let mem m e =
-  let u, _ = Edge.endpoints e in
-  match m.mates.(u) with
+  match m.mates.(e.Edge.u) with
   | Some e' -> Edge.same_endpoints e e'
   | None -> false
 

@@ -102,6 +102,11 @@ let fold_edges f init g = Array.fold_left f init g.edges
 
 let degree g v = g.off.(v + 1) - g.off.(v)
 
+let incident_edge g v i =
+  if i < 0 || i >= degree g v then
+    invalid_arg "Weighted_graph.incident_edge: index out of range";
+  g.edges.(g.eix.(g.off.(v) + i))
+
 let neighbors g v =
   let acc = ref [] in
   for i = g.off.(v + 1) - 1 downto g.off.(v) do

@@ -62,6 +62,11 @@ val fold_neighbors : t -> int -> ('a -> int -> Edge.t -> 'a) -> 'a -> 'a
 val degree : t -> int -> int
 (** O(1): an offset subtraction. *)
 
+val incident_edge : t -> int -> int -> Edge.t
+(** [incident_edge g v i] is the [i]-th edge {!iter_neighbors} visits
+    at [v], for [0 <= i < degree g v]: O(1) random access into the CSR
+    slice. *)
+
 val find_edge : t -> int -> int -> Edge.t option
 (** [find_edge g u v] is the edge joining [u] and [v], if present. *)
 

@@ -180,10 +180,7 @@ let f6_workload seed =
 
 let solve_trace params seed g =
   let m, stats = Wm_core.Main_alg.solve ~patience:2 params (P.create seed) g in
-  let gains =
-    List.map (fun r -> r.Wm_core.Main_alg.gain) stats.Wm_core.Main_alg.rounds
-  in
-  (m, gains)
+  (m, stats)
 
 let check_deterministic name make_graph =
   let params = Wm_core.Params.practical ~epsilon:0.15 () in
@@ -194,12 +191,13 @@ let check_deterministic name make_graph =
     ~finally:(fun () -> Pool.set_default_jobs saved)
     (fun () ->
       Pool.set_default_jobs 1;
-      let m1, gains1 = solve_trace params seed g in
+      let m1, stats1 = solve_trace params seed g in
       Pool.set_default_jobs 4;
-      let m4, gains4 = solve_trace params seed g in
+      let m4, stats4 = solve_trace params seed g in
       check_bool (name ^ ": matchings identical") true (M.equal m1 m4);
       check (name ^ ": same weight") (M.weight m1) (M.weight m4);
-      check_bool (name ^ ": same per-round gains") true (gains1 = gains4))
+      (* Every round's gain and every class's Aug_class.stats field. *)
+      check_bool (name ^ ": same round and class stats") true (stats1 = stats4))
 
 let test_determinism_t1 () = check_deterministic "T1" t1_workload
 let test_determinism_t3 () = check_deterministic "T3" t3_workload
@@ -259,9 +257,9 @@ let test_obs_snapshot_jobs_invariant () =
       check_bool "histograms non-trivial" true (h1 <> "{}"))
 
 (* Span durations recorded from pool workers land in the same timer
-   paths as at jobs=1: per-scale round spans and per-pair spans are
-   opened with with_span_root, so the path set (though not the
-   durations) is jobs-invariant. *)
+   paths as at jobs=1: the round's stage spans are opened with
+   with_span_root, so the path set (though not the durations) is
+   jobs-invariant. *)
 let test_span_paths_jobs_invariant () =
   let module Obs = Wm_obs.Obs in
   let module J = Wm_obs.Json in
@@ -291,7 +289,7 @@ let test_span_paths_jobs_invariant () =
       let p1 = timer_paths 1 in
       let p4 = timer_paths 4 in
       check_bool "same span paths and counts" true (p1 = p4);
-      check_bool "per-scale spans attributed" true
+      check_bool "stage spans attributed" true
         (List.exists
            (fun (path, _) ->
              String.length path >= 20
@@ -303,6 +301,43 @@ let test_span_paths_jobs_invariant () =
    shutdown, and the process at_exit hook destroys it again — destroy
    must be idempotent, and using a destroyed pool must fail loudly
    instead of hanging on a dead work queue. *)
+
+(* The timer key set is fixed: it names the round and its stages, not
+   the data.  Graphs with different weight ranges sweep different
+   scales and evaluate different tau pairs, yet solving one graph and
+   solving eight leave the same keys. *)
+let stage_spans =
+  List.map
+    (fun s -> "core.main_alg.round/" ^ s)
+    [ "parametrize"; "enumerate"; "prepare"; "eval"; "select"; "one_aug" ]
+
+let test_fixed_instrument_set () =
+  let module Obs = Wm_obs.Obs in
+  let module J = Wm_obs.Json in
+  let params = Wm_core.Params.practical ~epsilon:0.3 () in
+  let graph i =
+    Gen.gnp (P.create (70 + i)) ~n:(20 + (6 * i)) ~p:0.2
+      ~weights:(Gen.Uniform (1, 10 lsl i))
+  in
+  let timer_keys graphs =
+    Obs.reset Obs.default;
+    List.iteri
+      (fun i g ->
+        ignore (Wm_core.Main_alg.solve ~patience:1 params (P.create i) g))
+      graphs;
+    match J.member "timers" (Obs.to_json Obs.default) with
+    | Some (J.Obj fields) -> List.sort compare (List.map fst fields)
+    | _ -> Alcotest.fail "no timers in snapshot"
+  in
+  Fun.protect
+    ~finally:(fun () -> Obs.reset Obs.default)
+    (fun () ->
+      let one = timer_keys [ graph 0 ] in
+      let eight = timer_keys (List.init 8 graph) in
+      Alcotest.(check (list string)) "same keys for 1 and 8 graphs" one eight;
+      List.iter
+        (fun path -> check_bool (path ^ " present") true (List.mem path one))
+        ("core.main_alg.round" :: stage_spans))
 
 let test_destroy_idempotent () =
   let pool = Pool.create ~domains:3 in
@@ -370,5 +405,7 @@ let () =
             test_obs_snapshot_jobs_invariant;
           Alcotest.test_case "span paths jobs=1 vs 4" `Slow
             test_span_paths_jobs_invariant;
+          Alcotest.test_case "fixed instrument set" `Quick
+            test_fixed_instrument_set;
         ] );
     ]

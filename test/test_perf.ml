@@ -176,6 +176,308 @@ let test_layered_trivial_build_budget () =
   check_bool (Printf.sprintf "100 trivial builds cost %d words" w) true
     (w < 2048)
 
+(* The trivial-pair pre-check decides from the prepare cache alone and
+   allocates nothing itself: on a graph with thousands of Y edges, a
+   pair that scans a populated bucket group and still comes out trivial
+   costs only the call's own blocks, independent of the graph. *)
+let test_trivial_precheck_budget () =
+  let g = Gen.gnp (P.create 5) ~n:300 ~p:0.08 ~weights:(Gen.Uniform (1, 8)) in
+  let m = Wm_algos.Greedy.by_weight g in
+  let gp = Layered.parametrize (P.create 6) g m in
+  let tp = Tau.make_params ~granularity:(1.0 /. 32.0) ~max_layers:9 ~slack:0.0 in
+  let scale = 8.0 in
+  let cache = Layered.prepare tp gp ~scale in
+  (* Every weight buckets down to 4..32 at this granule, so the group of
+     b = 16 is populated; no matched edge buckets up to 40 and no vertex
+     is free for a non-zero threshold, so none of it survives. *)
+  let pair = { Tau.a = [| 40; 40 |]; b = [| 16 |] } in
+  let run () =
+    match Layered.build_opt ~cache tp gp pair ~scale with
+    | Layered.Trivial _ -> ()
+    | Layered.Graph _ -> Alcotest.fail "expected a trivial build"
+  in
+  run ();
+  let w = words (fun () -> for _ = 1 to 1000 do run () done) in
+  check_bool
+    (Printf.sprintf "1000 pre-checks over %d edges cost %d words" (G.m g) w)
+    true
+    (* six words per call: the boxed [~scale] float and [Some cache] at
+       the call site, and the [Trivial] result *)
+    (w <= 6 * 1000 + 64)
+
+(* ------------------------------------------------------------------ *)
+(* Oracles for the tau-pair hot path *)
+
+module Obs = Wm_obs.Obs
+module Params = Wm_core.Params
+
+(* A random instance whose matching has crossing and non-crossing edges
+   (under the random bipartition) and free vertices: a random partial
+   matching, a greedy near-maximal one, or none at all. *)
+let random_instance seed =
+  let rng = P.create seed in
+  let n = 6 + P.int rng 40 in
+  let weights =
+    match P.int rng 3 with
+    | 0 -> Gen.Uniform (1, 20)
+    | 1 -> Gen.Geometric_classes 6
+    | _ -> Gen.Uniform (1, 300)
+  in
+  let g = Gen.gnp rng ~n ~p:(0.1 +. P.float rng 0.4) ~weights in
+  let m =
+    match P.int rng 4 with
+    | 0 -> M.create n
+    | 1 -> Wm_algos.Greedy.by_weight g
+    | _ ->
+        let m = M.create n in
+        Array.iter
+          (fun e -> if P.int rng 3 > 0 then ignore (M.try_add m e))
+          (P.shuffle rng (G.edges g));
+        m
+  in
+  (rng, Layered.parametrize rng g m)
+
+let pick rng l = List.nth l (P.int rng (List.length l))
+
+(* Bucket values present in the data, as the enumeration sees them. *)
+let reference_present params (gp : Layered.parametrized) ~scale =
+  let tp = Params.tau_params params in
+  let granule = params.Params.granularity *. scale in
+  let cap = Tau.max_granules tp in
+  let a = ref [] and b = ref [] in
+  G.iter_edges
+    (fun e ->
+      let u, v = E.endpoints e in
+      if gp.Layered.side.(u) <> gp.Layered.side.(v) then
+        if M.mem gp.Layered.matching e then begin
+          let k = Tau.bucket_up ~granule (E.weight e) in
+          if k <= cap then a := k :: !a
+        end
+        else begin
+          let k = Tau.bucket_down ~granule (E.weight e) in
+          if k >= 2 && k <= cap then b := k :: !b
+        end)
+    gp.Layered.graph;
+  (List.sort_uniq Int.compare !a, List.sort_uniq Int.compare !b)
+
+(* The pre-rewrite walk, kept as the oracle: each step folds the CSR
+   slice to count the unmatched edges, draws, then iterates to the drawn
+   one.  Captures come back newest first. *)
+let reference_walks params rng (gp : Layered.parametrized) ~scale ~count =
+  let tp = Params.tau_params params in
+  let g = gp.Layered.graph and m = gp.Layered.matching in
+  let n = G.n g in
+  if n = 0 then []
+  else begin
+    let granule = params.Params.granularity *. scale in
+    let pairs = ref [] in
+    for _ = 1 to count do
+      let start = P.int rng n in
+      let a_buckets = ref [] and b_buckets = ref [] in
+      let cur = ref start in
+      (match M.edge_at m start with
+      | Some e ->
+          a_buckets := [ Tau.bucket_up ~granule (E.weight e) ];
+          cur := E.other e start
+      | None -> a_buckets := [ 0 ]);
+      let steps = 1 + P.int rng (params.Params.max_layers - 1) in
+      (try
+         for _ = 1 to steps do
+           let unmatched =
+             G.fold_neighbors g !cur
+               (fun acc _ e -> if M.mem m e then acc else acc + 1)
+               0
+           in
+           if unmatched = 0 then raise Exit;
+           let idx = P.int rng unmatched in
+           let picked = ref None and seen = ref 0 in
+           G.iter_neighbors g !cur (fun _ e ->
+               if not (M.mem m e) then begin
+                 if !seen = idx then picked := Some e;
+                 incr seen
+               end);
+           let o = Option.get !picked in
+           b_buckets := Tau.bucket_down ~granule (E.weight o) :: !b_buckets;
+           let x = E.other o !cur in
+           match M.edge_at m x with
+           | Some e' ->
+               a_buckets := Tau.bucket_up ~granule (E.weight e') :: !a_buckets;
+               cur := E.other e' x
+           | None ->
+               a_buckets := 0 :: !a_buckets;
+               raise Exit
+         done
+       with Exit -> ());
+      if !b_buckets <> [] then
+        match
+          Tau.capture_path tp ~a_buckets:(List.rev !a_buckets)
+            ~b_buckets:(List.rev !b_buckets)
+        with
+        | Some pr -> pairs := pr :: !pairs
+        | None -> ()
+    done;
+    !pairs
+  end
+
+(* First-wins dedup on structural keys — the polymorphic seen-set the
+   specialised one replaced. *)
+let reference_dedup pairs =
+  let seen = Hashtbl.create 64 in
+  List.filter
+    (fun pr ->
+      let key = (Array.to_list pr.Tau.a, Array.to_list pr.Tau.b) in
+      if Hashtbl.mem seen key then false
+      else begin
+        Hashtbl.add seen key ();
+        true
+      end)
+    pairs
+
+(* The homogeneous family without the iterator's pruning: every
+   (length, value, value, ends) candidate through [Tau.is_good]. *)
+let reference_homogeneous tp ~a_values ~b_values =
+  let out = ref [] in
+  for k = 1 to tp.Tau.max_layers - 1 do
+    List.iter
+      (fun av ->
+        List.iter
+          (fun bv ->
+            List.iter
+              (fun (first, last) ->
+                let a = Array.make (k + 1) av in
+                a.(0) <- first;
+                a.(k) <- last;
+                let pr = { Tau.a; b = Array.make k bv } in
+                if Tau.is_good tp pr then out := pr :: !out)
+              [ (av, av); (0, av); (av, 0); (0, 0) ])
+          (List.sort_uniq Int.compare b_values))
+      (List.sort_uniq Int.compare a_values)
+  done;
+  List.rev !out
+
+let reference_candidates params rng gp ~scale =
+  let tp = Params.tau_params params in
+  let a_values, b_values = reference_present params gp ~scale in
+  if b_values = [] then []
+  else begin
+    let walked, sampled =
+      if params.Params.tau_samples > 0 then begin
+        let w =
+          reference_walks params rng gp ~scale ~count:params.Params.tau_samples
+        in
+        let s =
+          Tau.sample tp rng ~a_values ~b_values
+            ~count:(params.Params.tau_samples / 4)
+        in
+        (w, s)
+      end
+      else ([], [])
+    in
+    let all =
+      reference_dedup
+        (reference_homogeneous tp ~a_values ~b_values @ walked @ sampled)
+    in
+    List.filteri (fun i _ -> i < params.Params.tau_budget) all
+  end
+
+let same_pairs = List.equal (fun p q -> p.Tau.a = q.Tau.a && p.Tau.b = q.Tau.b)
+
+let prop_walk_oracle =
+  QCheck2.Test.make
+    ~name:"walk_pairs and candidate_pairs match the reference walk" ~count:60
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng, gp = random_instance seed in
+      let params =
+        Params.practical ~epsilon:(pick rng [ 0.8; 0.3; 0.1 ]) ()
+      in
+      List.for_all
+        (fun scale ->
+          let r1 = P.copy rng and r2 = P.copy rng in
+          let walked = AC.walk_pairs params r1 gp ~scale ~count:80 in
+          let expected =
+            reference_dedup (reference_walks params r2 gp ~scale ~count:80)
+          in
+          let r3 = P.copy rng and r4 = P.copy rng in
+          let cands = AC.candidate_pairs params r3 gp ~scale in
+          let expected_cands = reference_candidates params r4 gp ~scale in
+          same_pairs walked expected
+          && P.state r1 = P.state r2
+          && same_pairs cands expected_cands
+          && P.state r3 = P.state r4)
+        (Wm_core.Main_alg.scales_for params gp.Layered.graph))
+
+let layered_counters () =
+  List.map
+    (Obs.counter_value Obs.default)
+    [ "core.layered.builds"; "core.layered.edges"; "core.layered.edges_max" ]
+
+(* [build_opt ~cache]'s verdict, edge count and counter deltas against
+   the uncached full build of the same pair. *)
+let precheck_agrees tp gp cache ~scale pair =
+  Obs.reset Obs.default;
+  let lay = Layered.build tp gp pair ~scale in
+  let full = G.m lay.Layered.lgraph and x_len = M.size lay.Layered.init in
+  let expected = layered_counters () in
+  Obs.reset Obs.default;
+  let verdict = Layered.build_opt ~cache tp gp pair ~scale in
+  layered_counters () = expected
+  &&
+  match verdict with
+  | Layered.Trivial x -> full = x_len && x = x_len
+  | Layered.Graph lay' ->
+      full > x_len
+      && Array.for_all2 E.equal (G.edges lay'.Layered.lgraph)
+           (G.edges lay.Layered.lgraph)
+
+let prop_trivial_precheck =
+  QCheck2.Test.make
+    ~name:"cached trivial pre-check agrees with the uncached build" ~count:60
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng, gp = random_instance seed in
+      let params = Params.practical ~epsilon:(pick rng [ 0.8; 0.3 ]) () in
+      let tp = Params.tau_params params in
+      let scale =
+        pick rng (Wm_core.Main_alg.scales_for params gp.Layered.graph)
+      in
+      let cache = Layered.prepare tp gp ~scale in
+      let a_values, b_values = reference_present params gp ~scale in
+      (* Arbitrary shapes too, beyond the good ones, with thresholds
+         drawn from every bucket in the data: those past the cap land in
+         the cache's overflow slot, and zero ends exercise the
+         free-vertex rule. *)
+      let granule = params.Params.granularity *. scale in
+      let ups = ref [ 0 ] and downs = ref [ 0 ] in
+      G.iter_edges
+        (fun e ->
+          let w = E.weight e in
+          if M.mem gp.Layered.matching e then
+            ups := Tau.bucket_up ~granule w :: !ups
+          else downs := Tau.bucket_down ~granule w :: !downs)
+        gp.Layered.graph;
+      let arbitrary =
+        List.init 60 (fun _ ->
+            let k = 1 + P.int rng 4 in
+            let draw l = if P.bool rng then 0 else pick rng l in
+            { Tau.a = Array.init (k + 1) (fun _ -> draw !ups);
+              b = Array.init k (fun _ -> draw !downs) })
+      in
+      let pairs =
+        Tau.homogeneous tp ~a_values ~b_values
+        @ AC.walk_pairs params rng gp ~scale ~count:60
+        @ Tau.sample tp rng ~a_values ~b_values ~count:40
+        @ arbitrary
+      in
+      let ok = List.for_all (precheck_agrees tp gp cache ~scale) pairs in
+      (* A coarse granularity makes exhaustive enumeration small. *)
+      let coarse = Tau.make_params ~granularity:0.25 ~max_layers:4 ~slack:0.0 in
+      let coarse_cache = Layered.prepare coarse gp ~scale in
+      ok
+      && List.for_all
+           (precheck_agrees coarse gp coarse_cache ~scale)
+           (Tau.enumerate coarse ~max_pairs:150))
+
 (* ------------------------------------------------------------------ *)
 (* Canonical tie-breaking *)
 
@@ -322,7 +624,12 @@ let () =
           Alcotest.test_case "tau iterator" `Quick test_iter_homogeneous_budget;
           Alcotest.test_case "layered trivial build" `Quick
             test_layered_trivial_build_budget;
+          Alcotest.test_case "trivial pre-check" `Quick
+            test_trivial_precheck_budget;
         ] );
+      ( "oracles",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_walk_oracle; prop_trivial_precheck ] );
       ( "tie-break",
         [
           Alcotest.test_case "path key reversal-invariant" `Quick

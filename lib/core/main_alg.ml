@@ -114,12 +114,13 @@ let improve_once params rng g m =
       ("augmentations", !applied);
       ("gain", !gain);
     ];
-  (* Per-round allocation accounting: a program-wide quick_stat delta
-     around the round (the per-scale fan-out included), so the "gc"
-     ledger section exposes the round hot path's constant factor.  The
-     values are comparable across --jobs settings (see Gcstat), though
-     not byte-identical — jobs-invariance checks exclude the "gc"
-     section for exactly this reason. *)
+  (* Per-round allocation accounting: a Gcstat delta around the round,
+     so the "gc" ledger section exposes the round hot path's constant
+     factor.  [minor_words] is the calling domain's exact count: at
+     --jobs 1 that is the whole round, at higher --jobs only the
+     per-scale tasks this domain ran.  The values therefore shift with
+     --jobs, and jobs-invariance checks exclude the "gc" section for
+     exactly this reason. *)
   let gc_delta =
     Wm_obs.Gcstat.delta ~before:gc_before (Wm_obs.Gcstat.snapshot ())
   in

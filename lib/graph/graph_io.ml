@@ -9,37 +9,88 @@ let to_string g =
     g;
   Buffer.contents buf
 
-(* Content digest: 64-bit FNV-1a over the canonicalized edge list.
-   Each edge is normalized to (min endpoint, max endpoint, weight) and
-   the list is sorted, so the digest is invariant under both the order
-   the endpoints were given in and the order the edges were added —
-   two graphs with the same vertex count and edge set always hash
-   alike, however they were constructed or serialized. *)
+(* Content digest: 64-bit FNV-1a over n, then the edge list in
+   (u, v, w) order with u < v.  Edges are stored normalised and no two
+   share endpoints, so that order is canonical: the digest is invariant
+   under the order the endpoints were given in and the order the edges
+   were added — two graphs with the same vertex count and edge set
+   always hash alike, however they were constructed or serialized.
+
+   The order is produced without a global sort: vertices are visited
+   in increasing order, and at each [u] the edges whose smaller
+   endpoint is [u] (a subset of its CSR slice) are copied as (v, w)
+   pairs into a per-domain run buffer and heapsorted by [v] in place:
+   O(n + m log d) for maximum degree d, so a hub costs O(d log d), and
+   no allocation proportional to m.  The hash state lives in a local
+   [ref] that no closure captures and [fnv_int] is inlined, so
+   ocamlopt keeps the [Int64] unboxed. *)
+let run_slot = Arena.slot Arena.Ints.create
+
+(* Pair [i] of a run is [a.(2i)] (the v endpoint) and [a.(2i + 1)]
+   (the weight); runs never repeat a [v]. *)
+let swap_pairs (a : int array) i j =
+  let v = a.(2 * i) and w = a.((2 * i) + 1) in
+  a.(2 * i) <- a.(2 * j);
+  a.((2 * i) + 1) <- a.((2 * j) + 1);
+  a.(2 * j) <- v;
+  a.((2 * j) + 1) <- w
+
+let rec sift_down (a : int array) root len =
+  let child = (2 * root) + 1 in
+  if child < len then begin
+    let child =
+      if child + 1 < len && a.(2 * (child + 1)) > a.(2 * child) then child + 1
+      else child
+    in
+    if a.(2 * child) > a.(2 * root) then begin
+      swap_pairs a root child;
+      sift_down a child len
+    end
+  end
+
+let sort_run (a : int array) d =
+  for root = (d / 2) - 1 downto 0 do
+    sift_down a root d
+  done;
+  for last = d - 1 downto 1 do
+    swap_pairs a 0 last;
+    sift_down a 0 last
+  done
+
+let fnv_prime = 0x100000001b3L
+
+(* One FNV-1a step per byte of [x], least significant first. *)
+let[@inline] fnv_byte h x =
+  Int64.mul (Int64.logxor h (Int64.of_int (x land 0xff))) fnv_prime
+
+let[@inline] fnv_int h x =
+  let h = fnv_byte h x in
+  let h = fnv_byte h (x asr 8) in
+  let h = fnv_byte h (x asr 16) in
+  let h = fnv_byte h (x asr 24) in
+  let h = fnv_byte h (x asr 32) in
+  let h = fnv_byte h (x asr 40) in
+  let h = fnv_byte h (x asr 48) in
+  fnv_byte h (x asr 56)
+
 let digest g =
-  let edges =
-    Array.map
-      (fun e ->
-        let u, v = Edge.endpoints e in
-        (Stdlib.min u v, Stdlib.max u v, Edge.weight e))
-      (Weighted_graph.edges g)
-  in
-  Array.sort compare edges;
-  let h = ref 0xcbf29ce484222325L in
-  let feed_byte b =
-    h := Int64.mul (Int64.logxor !h (Int64.of_int (b land 0xff))) 0x100000001b3L
-  in
-  let feed_int x =
-    for i = 0 to 7 do
-      feed_byte (x asr (8 * i))
+  let run = Arena.get run_slot in
+  let h = ref (fnv_int 0xcbf29ce484222325L (Weighted_graph.n g)) in
+  for u = 0 to Weighted_graph.n g - 1 do
+    Arena.Ints.clear run;
+    for i = 0 to Weighted_graph.degree g u - 1 do
+      let e = Weighted_graph.incident_edge g u i in
+      if e.Edge.u = u then begin
+        Arena.Ints.push run e.Edge.v;
+        Arena.Ints.push run e.Edge.w
+      end
+    done;
+    let a = Arena.Ints.data run and d = Arena.Ints.length run / 2 in
+    sort_run a d;
+    for i = 0 to d - 1 do
+      h := fnv_int (fnv_int (fnv_int !h u) a.(2 * i)) a.((2 * i) + 1)
     done
-  in
-  feed_int (Weighted_graph.n g);
-  Array.iter
-    (fun (u, v, w) ->
-      feed_int u;
-      feed_int v;
-      feed_int w)
-    edges;
+  done;
   Printf.sprintf "%016Lx" !h
 
 type header = { kind : string; n : int; count : int }

@@ -25,7 +25,16 @@ val digest : Weighted_graph.t -> string
     rendered as 16 lowercase hex digits.  Invariant under endpoint
     order and edge order, so any two structurally equal graphs digest
     identically — the session key of the serving layer and the
-    [instance.digest] field of WM_STATS_v1 reports. *)
+    [instance.digest] field of WM_STATS_v1 reports.
+
+    Cost: O(n + m log d) for maximum degree d — one walk of the CSR
+    index in vertex order, each vertex's edges to higher neighbours
+    sorted in a per-domain scratch buffer — and, once that buffer has
+    grown, no allocation beyond the result string.  The definition
+    (which bytes are hashed, in which order) is that of the original
+    sort-then-hash implementation; [test_perf] checks the two agree and
+    pins digest values, because session keys, WAL and snapshot bytes,
+    shard placement and cache keys are all derived from them. *)
 
 val to_string : Weighted_graph.t -> string
 

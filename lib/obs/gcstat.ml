@@ -11,7 +11,7 @@ type snapshot = {
 let snapshot () =
   let s = Gc.quick_stat () in
   {
-    minor_words = int_of_float s.Gc.minor_words;
+    minor_words = int_of_float (Gc.minor_words ());
     promoted_words = int_of_float s.Gc.promoted_words;
     major_words = int_of_float s.Gc.major_words;
     minor_collections = s.Gc.minor_collections;

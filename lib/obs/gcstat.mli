@@ -1,13 +1,14 @@
-(** Program-wide GC accounting snapshots.
+(** GC accounting snapshots.
 
-    Built on [Gc.quick_stat], whose allocation tallies are {e
-    program-wide} on OCaml 5 (they include work done by live child
-    domains, with the remainder merged when a domain is joined) — so
-    deltas taken around a parallel region are comparable across
-    [--jobs] settings.  This is deliberately different from
-    [Gc.minor_words ()], which reports only the {e calling domain}'s
-    allocations and is what the allocation-budget unit tests use to
-    assert that a single-domain kernel does not allocate.
+    [minor_words] is [Gc.minor_words ()]: exact to the word, but it
+    counts only the {e calling domain}'s allocations, so a delta taken
+    around a parallel region misses what worker domains allocated and
+    shifts with [--jobs].  The other tallies come from [Gc.quick_stat],
+    which is {e program-wide} on OCaml 5 (it includes work done by live
+    child domains, merged when a domain is joined) but only advances at
+    minor collections — which is why it is not used for
+    [minor_words]: its deltas are quantised to whole minor heaps, and a
+    1000-cell list reads as 0 words.
 
     Word counts are reported as integers: [float] minor-word tallies
     are far below 2^62 for any realistic run, and integer fields are
@@ -24,7 +25,8 @@ type snapshot = {
 }
 
 val snapshot : unit -> snapshot
-(** Current program-wide tallies ([Gc.quick_stat]). *)
+(** Current tallies: the calling domain's exact [minor_words], the
+    program-wide [Gc.quick_stat] figures for the rest. *)
 
 val delta : before:snapshot -> snapshot -> snapshot
 (** [delta ~before after] subtracts the cumulative tallies;

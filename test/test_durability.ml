@@ -422,6 +422,25 @@ let test_evict_gcs_snapshot () =
   let b = Server.create (config ~wal_dir:dir ()) in
   check "no sessions after the sweep" 0 (List.length (Server.sessions b))
 
+(* A snapshot whose header names a digest its graph frame does not
+   carry is skipped: the frame's own trailer verifies against the
+   decoded content, and the header must agree with that trailer. *)
+let test_header_digest_mismatch_skipped () =
+  let g = sample_graph 41 and h = sample_graph 43 in
+  let snap ~digest =
+    { Wm_serve.Snapshot.origin = 1; lsn = 1; digest; generation = 0;
+      graph = g; warm = [] }
+  in
+  let good = fresh_dir () and bad = fresh_dir () in
+  ignore (Wm_serve.Snapshot.write ~dir:good (snap ~digest:(IO.digest g)));
+  ignore (Wm_serve.Snapshot.write ~dir:bad (snap ~digest:(IO.digest h)));
+  check "consistent snapshot loads" 1
+    (List.length (Wm_serve.Snapshot.load_all ~dir:good));
+  check_bool "mismatched file was written" true
+    (Sys.file_exists (Wm_serve.Snapshot.file ~dir:bad (IO.digest h)));
+  check "header/frame mismatch skipped" 0
+    (List.length (Wm_serve.Snapshot.load_all ~dir:bad))
+
 let test_check_recovery_reports_divergence () =
   let r =
     Certify.check_recovery ~control:[ "a"; "b" ] ~recovered:[ "a"; "x" ]
@@ -466,6 +485,8 @@ let () =
             test_compaction_on_snapshot;
           Alcotest.test_case "evict gcs snapshot" `Quick
             test_evict_gcs_snapshot;
+          Alcotest.test_case "header digest mismatch skipped" `Quick
+            test_header_digest_mismatch_skipped;
           Alcotest.test_case "check_recovery divergence" `Quick
             test_check_recovery_reports_divergence;
         ] );

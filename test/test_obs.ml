@@ -512,6 +512,19 @@ let test_json_print_parse_identity () =
 
 (* ------------------------------------------------------------------ *)
 
+(* Gcstat's minor_words is exact, not quantised to minor collections:
+   a 1000-cell list (3 words a cell) shows up in a delta however far
+   the minor heap is from its next collection. *)
+let test_gcstat_minor_words_exact () =
+  let before = Wm_obs.Gcstat.snapshot () in
+  let l = Sys.opaque_identity (List.init 1000 Fun.id) in
+  let d = Wm_obs.Gcstat.delta ~before (Wm_obs.Gcstat.snapshot ()) in
+  check "list survives" 1000 (List.length l);
+  check_bool
+    (Printf.sprintf "1000 cells read as %d minor words" d.minor_words)
+    true
+    (d.minor_words >= 3000 && d.minor_words < 3000 + 256)
+
 let () =
   Alcotest.run "wm_obs"
     [
@@ -580,6 +593,11 @@ let () =
           Alcotest.test_case "concurrent records" `Quick
             test_ledger_concurrent;
           QCheck_alcotest.to_alcotest test_ledger_pool_writers;
+        ] );
+      ( "gcstat",
+        [
+          Alcotest.test_case "minor_words exact" `Quick
+            test_gcstat_minor_words_exact;
         ] );
       ( "json",
         [

@@ -2,7 +2,9 @@
    Arena.Stamp / Arena.Ints semantics, minor-word budgets for the hot
    iterators (Weighted_graph.iter_neighbors, Tau.iter_homogeneous, the
    cached Layered fill), the canonical equal-gain tie-break, the stable
-   weight-ordered stream arrangement, and the scale-tier generators.
+   weight-ordered stream arrangement, the scale-tier generators, and
+   Graph_io.digest against its sort-then-hash definition (values,
+   allocation, and cost at a hub).
 
    The budget tests measure [Gc.minor_words] deltas (domain-local, so
    they are exact for single-domain code) after a warm-up call that
@@ -224,6 +226,10 @@ let random_instance seed =
     | _ -> Gen.Uniform (1, 300)
   in
   let g = Gen.gnp rng ~n ~p:(0.1 +. P.float rng 0.4) ~weights in
+  (* [Main_alg.scales_for] is empty exactly when the graph has no edge,
+     and the properties draw a scale from it: give an edgeless draw one
+     edge. *)
+  let g = if G.m g > 0 then g else G.patch g ~add:[ E.make 0 1 1 ] () in
   let m =
     match P.int rng 4 with
     | 0 -> M.create n
@@ -606,6 +612,168 @@ let test_scale_generators_deterministic () =
   in
   Alcotest.(check string) "same seed, same graph" (dig ()) (dig ())
 
+(* ------------------------------------------------------------------ *)
+(* Graph_io.digest: the sort-free walk against the sort-then-hash
+   definition *)
+
+module IO = Wm_graph.Graph_io
+
+(* The original implementation, kept verbatim as the oracle: normalise,
+   sort the boxed triples polymorphically, FNV-1a over n and then every
+   (u, v, w). *)
+let reference_digest g =
+  let edges =
+    Array.map
+      (fun e ->
+        let u, v = E.endpoints e in
+        (Stdlib.min u v, Stdlib.max u v, E.weight e))
+      (G.edges g)
+  in
+  Array.sort compare edges;
+  let h = ref 0xcbf29ce484222325L in
+  let feed_byte b =
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (b land 0xff))) 0x100000001b3L
+  in
+  let feed_int x =
+    for i = 0 to 7 do
+      feed_byte (x asr (8 * i))
+    done
+  in
+  feed_int (G.n g);
+  Array.iter
+    (fun (u, v, w) ->
+      feed_int u;
+      feed_int v;
+      feed_int w)
+    edges;
+  Printf.sprintf "%016Lx" !h
+
+(* Weights from 1 up to past 2^32, so every byte of the hashed ints is
+   exercised. *)
+let random_weight rng =
+  match P.int rng 3 with
+  | 0 -> 1 + P.int rng 20
+  | 1 -> 1 + P.int rng 1_000_000_000
+  | _ -> (P.int rng (1 lsl 28) lsl 32) lor P.int rng (1 lsl 30)
+
+(* A random simple graph with its edges shuffled and half of them given
+   endpoint-reversed, then (sometimes) grown by [G.patch]: fresh
+   isolated vertices, additions reaching into them, and removals. *)
+let random_digest_graph seed =
+  let rng = P.create seed in
+  let n = P.int rng 50 in
+  let seen = Hashtbl.create 64 in
+  let edges = ref [] in
+  if n >= 2 then
+    for _ = 1 to P.int rng (3 * n) do
+      let u = P.int rng n and v = P.int rng n in
+      if u <> v && not (Hashtbl.mem seen (min u v, max u v)) then begin
+        Hashtbl.add seen (min u v, max u v) ();
+        let w = random_weight rng in
+        edges := (if P.bool rng then E.make v u w else E.make u v w) :: !edges
+      end
+    done;
+  let g = G.of_array ~n (P.shuffle rng (Array.of_list !edges)) in
+  if P.bool rng then g
+  else begin
+    let k = P.int rng 4 in
+    let n' = n + k in
+    let add =
+      if n' < 2 || k = 0 then []
+      else
+        List.init (P.int rng 5) (fun i -> (n + (i mod k), P.int rng n'))
+        |> List.filter (fun (u, v) -> u <> v)
+        |> List.sort_uniq (fun (a, b) (c, d) ->
+               compare (min a b, max a b) (min c d, max c d))
+        |> List.map (fun (u, v) -> E.make v u (random_weight rng))
+    in
+    let remove =
+      List.filteri (fun i _ -> i mod 3 = 0) (List.map E.endpoints !edges)
+      |> List.map (fun (u, v) -> (v, u))
+    in
+    G.patch g ~add_vertices:k ~add ~remove ()
+  end
+
+let prop_digest_oracle =
+  QCheck2.Test.make ~name:"digest equals the sort-then-hash definition"
+    ~count:300
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let g = random_digest_graph seed in
+      let d = IO.digest g in
+      let rebuilt =
+        G.of_array ~n:(G.n g)
+          (Array.map
+             (fun e ->
+               let u, v = E.endpoints e in
+               E.make v u (E.weight e))
+             (Array.of_list (List.rev (G.edge_list g))))
+      in
+      d = reference_digest g && d = IO.digest rebuilt)
+
+(* A star whose hub run comes out of the CSR slice in reverse leaf
+   order: the worst case for an insertion sort. *)
+let reversed_star leaves =
+  G.create ~n:(leaves + 1)
+    (List.init leaves (fun i -> E.make (leaves - i) 0 (1 + (i mod 7))))
+
+let test_digest_edge_cases () =
+  let check_ref name g =
+    Alcotest.(check string) name (reference_digest g) (IO.digest g)
+  in
+  check_ref "n = 0" (G.empty 0);
+  check_ref "isolated vertices only" (G.empty 7);
+  check_ref "patched-in isolated vertices"
+    (G.patch (G.create ~n:3 [ E.make 2 0 5 ]) ~add_vertices:4
+       ~add:[ E.make 6 1 (1 lsl 40) ] ());
+  check_ref "hub of degree 10^4" (reversed_star 10_000);
+  (* Pinned values of the definition: session keys, WAL and snapshot
+     file names, ring placement and cache keys are all derived from
+     these bytes, so any change to them is a format break. *)
+  let pin name expected g = Alcotest.(check string) name expected (IO.digest g) in
+  pin "empty graph" "a8c7f832281a39c5" (G.empty 0);
+  pin "small graph with a weight past 2^32" "0807d803647f912b"
+    (G.create ~n:5
+       [ E.make 3 1 (1 lsl 33); E.make 0 4 7; E.make 2 0 1; E.make 4 3 12 ]);
+  pin "gnp(200, 0.05)" "981a1be4e5637778"
+    (Gen.gnp (P.create 1) ~n:200 ~p:0.05 ~weights:(Gen.Uniform (1, 1000)))
+
+(* After a warm-up that grows the per-domain run buffer, a digest
+   allocates only its 16-character result: nothing per edge. *)
+let test_digest_budget () =
+  let g = Gen.gnm (P.create 4) ~n:1000 ~m:8000 ~weights:(Gen.Uniform (1, 1000)) in
+  ignore (IO.digest g);
+  let w = words (fun () -> for _ = 1 to 10 do ignore (IO.digest g) done) in
+  check_bool
+    (Printf.sprintf "10 digests of %d edges cost %d words" (G.m g) w)
+    true (w < 10 * 256)
+
+(* Near-linear at a hub: a reversed star and a path have the same n and
+   m, but one run of length 20,000 against 20,000 runs of length 1.  A
+   quadratic run sort makes the star hundreds of times slower; the
+   bound leaves a wide margin for timer noise. *)
+let test_digest_hub_near_linear () =
+  let leaves = 20_000 in
+  let star = reversed_star leaves in
+  let path =
+    G.create ~n:(leaves + 1) (List.init leaves (fun i -> E.make i (i + 1) 3))
+  in
+  let best g =
+    let t = ref infinity in
+    for _ = 1 to 5 do
+      let t0 = Unix.gettimeofday () in
+      ignore (IO.digest g);
+      t := Float.min !t (Unix.gettimeofday () -. t0)
+    done;
+    !t
+  in
+  let t_star = best star and t_path = best path in
+  check_bool
+    (Printf.sprintf "star %.2f ms vs path %.2f ms" (1e3 *. t_star)
+       (1e3 *. t_path))
+    true
+    (t_star <= (8.0 *. t_path) +. 0.005)
+
 let () =
   Alcotest.run "perf"
     [
@@ -629,7 +797,15 @@ let () =
         ] );
       ( "oracles",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_walk_oracle; prop_trivial_precheck ] );
+          [ prop_walk_oracle; prop_trivial_precheck; prop_digest_oracle ] );
+      ( "digest",
+        [
+          Alcotest.test_case "edge cases and pinned values" `Quick
+            test_digest_edge_cases;
+          Alcotest.test_case "no per-edge allocation" `Quick test_digest_budget;
+          Alcotest.test_case "near-linear at a hub" `Quick
+            test_digest_hub_near_linear;
+        ] );
       ( "tie-break",
         [
           Alcotest.test_case "path key reversal-invariant" `Quick
